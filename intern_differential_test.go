@@ -143,7 +143,7 @@ func TestInternDifferentialExamples(t *testing.T) {
 // programs with interning off: same findings, same inversion parameters,
 // same verdicts as the interning-on default — including the infeasible
 // branch case where the interned canonical path condition feeds the
-// solver's feasibility memo.
+// solver's feasibility check.
 func TestInternDifferentialSectionIV(t *testing.T) {
 	cases := []struct {
 		name, fn, src string

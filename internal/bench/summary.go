@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -34,6 +35,19 @@ type SummaryBenchRow struct {
 	InlineSeconds   float64 `json:"inlineSeconds"`
 	SummarySeconds  float64 `json:"summarySeconds"`
 	SpeedupVsInline float64 `json:"speedupVsInline"`
+	// InlineAllocs/SummaryAllocs count the heap objects each run allocated
+	// (runtime.MemStats.Mallocs): a work measure that, unlike the clocks,
+	// does not move with host load. Near-deterministic rather than exact
+	// (the runtime allocates too), so they stay out of the snapshot.
+	InlineAllocs  uint64 `json:"-"`
+	SummaryAllocs uint64 `json:"-"`
+}
+
+// mallocs returns the process's cumulative heap-object allocation count.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
 // SummaryBenchProgram generates the call-graph-heavy module: a chain of
@@ -104,21 +118,21 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 	for _, cf := range configs {
 		cSrc, edlSrc := SummaryBenchProgram(cf.helpers, cf.entries)
 
-		start := time.Now()
+		m0, start := mallocs(), time.Now()
 		inline, err := privacyscope.AnalyzeEnclave(cSrc, edlSrc)
 		if err != nil {
 			return nil, fmt.Errorf("%s inline: %w", cf.name, err)
 		}
-		inlineSec := time.Since(start).Seconds()
+		inlineSec, inlineAllocs := time.Since(start).Seconds(), mallocs()-m0
 
 		metrics := obs.NewMetrics()
-		start = time.Now()
+		m0, start = mallocs(), time.Now()
 		sum, err := privacyscope.AnalyzeEnclave(cSrc, edlSrc,
 			privacyscope.WithSummaries(), privacyscope.WithObserver(metrics))
 		if err != nil {
 			return nil, fmt.Errorf("%s summaries: %w", cf.name, err)
 		}
-		sumSec := time.Since(start).Seconds()
+		sumSec, sumAllocs := time.Since(start).Seconds(), mallocs()-m0
 
 		row := SummaryBenchRow{
 			Name:              cf.name,
@@ -128,6 +142,8 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 			SummariesComputed: metrics.Counter("summary.computed"),
 			InlineSeconds:     inlineSec,
 			SummarySeconds:    sumSec,
+			InlineAllocs:      inlineAllocs,
+			SummaryAllocs:     sumAllocs,
 		}
 		if sumSec > 0 {
 			row.SpeedupVsInline = inlineSec / sumSec

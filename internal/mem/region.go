@@ -32,12 +32,13 @@ type Region interface {
 // VarRegion is the region of a named program variable in some frame.
 type VarRegion struct {
 	id    int
+	key   string
 	Name  string
 	Frame int // call-frame depth, distinguishing recursive locals
 }
 
 // Key implements Region.
-func (r *VarRegion) Key() string { return "v" + strconv.Itoa(r.id) }
+func (r *VarRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *VarRegion) String() string { return "reg" + strconv.Itoa(r.id) }
@@ -50,6 +51,7 @@ func (r *VarRegion) Super() Region { return nil }
 // identifies the block; element reads produce fresh symbols per index.
 type SymRegion struct {
 	id      int
+	key     string
 	Pointee *sym.Symbol // identity of the unknown block
 	// SecretSource is non-zero when the block holds secret input; element
 	// reads then mint secret symbols.
@@ -58,7 +60,7 @@ type SymRegion struct {
 }
 
 // Key implements Region.
-func (r *SymRegion) Key() string { return "sym" + strconv.Itoa(r.id) }
+func (r *SymRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *SymRegion) String() string { return "SymRegion{" + r.DisplayName + "}" }
@@ -69,13 +71,12 @@ func (r *SymRegion) Super() Region { return nil }
 // ElementRegion is the subregion for array element super[index].
 type ElementRegion struct {
 	super Region
+	key   string
 	Index int // concrete element index
 }
 
 // Key implements Region.
-func (r *ElementRegion) Key() string {
-	return r.super.Key() + "[" + strconv.Itoa(r.Index) + "]"
-}
+func (r *ElementRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *ElementRegion) String() string {
@@ -88,11 +89,12 @@ func (r *ElementRegion) Super() Region { return r.super }
 // FieldRegion is the subregion for struct field super.Field.
 type FieldRegion struct {
 	super Region
+	key   string
 	Field string
 }
 
 // Key implements Region.
-func (r *FieldRegion) Key() string { return r.super.Key() + "." + r.Field }
+func (r *FieldRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *FieldRegion) String() string { return regionBase(r.super) + "." + r.Field }
@@ -121,15 +123,13 @@ func Root(r Region) Region {
 	return r
 }
 
-// Manager hash-conses regions so identical denotations share one object.
-// It is safe for concurrent use: parallel path workers exploring one entry
-// point share a single manager, and region identity (pointer equality)
-// must hold across workers.
 // Manager hash-conses regions, mirroring the sym.Interner contract: one
 // canonical *Region per key, so region equality throughout the engine is
 // pointer equality. Reads are lock-free (sync.Map, shared read-mostly
 // across path workers); creation takes a short mutex so numeric region IDs
-// stay dense and deterministic under sequential exploration.
+// stay dense and deterministic under sequential exploration. Each region's
+// Key is built once, here, and kept in the region: the store looks keys up
+// on every read and write.
 type Manager struct {
 	mu     sync.Mutex // guards nextID and the create path
 	nextID int
@@ -156,7 +156,7 @@ func (m *Manager) Var(name string, frame int) *VarRegion {
 	if r, ok := m.vars.Load(k); ok {
 		return r.(*VarRegion)
 	}
-	r := &VarRegion{id: m.nextID, Name: name, Frame: frame}
+	r := &VarRegion{id: m.nextID, key: "v" + strconv.Itoa(m.nextID), Name: name, Frame: frame}
 	m.nextID++
 	m.vars.Store(k, r)
 	m.count.Add(1)
@@ -174,7 +174,7 @@ func (m *Manager) SymBlock(pointee *sym.Symbol, display string, secret bool) *Sy
 	if r, ok := m.symRgs.Load(k); ok {
 		return r.(*SymRegion)
 	}
-	r := &SymRegion{id: m.nextID, Pointee: pointee, DisplayName: display, SecretSource: secret}
+	r := &SymRegion{id: m.nextID, key: "sym" + strconv.Itoa(m.nextID), Pointee: pointee, DisplayName: display, SecretSource: secret}
 	m.nextID++
 	m.symRgs.Store(k, r)
 	m.count.Add(1)
@@ -192,7 +192,7 @@ func (m *Manager) Element(super Region, index int) *ElementRegion {
 	if r, ok := m.elems.Load(k); ok {
 		return r.(*ElementRegion)
 	}
-	r := &ElementRegion{super: super, Index: index}
+	r := &ElementRegion{super: super, key: k, Index: index}
 	m.elems.Store(k, r)
 	m.count.Add(1)
 	return r
@@ -209,7 +209,7 @@ func (m *Manager) Field(super Region, field string) *FieldRegion {
 	if r, ok := m.fields.Load(k); ok {
 		return r.(*FieldRegion)
 	}
-	r := &FieldRegion{super: super, Field: field}
+	r := &FieldRegion{super: super, key: k, Field: field}
 	m.fields.Store(k, r)
 	m.count.Add(1)
 	return r
@@ -269,7 +269,7 @@ func (Undefined) String() string { return "undef" }
 // shared — so per-store operations need no lock.
 type Store struct {
 	frozen []map[string]entry // immutable layers, oldest first
-	top    map[string]entry   // private mutable layer
+	top    map[string]entry   // private mutable layer; nil until first written
 	count  int                // live bindings visible through all layers
 }
 
@@ -284,7 +284,15 @@ const flattenDepth = 32
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{top: make(map[string]entry)}
+	return &Store{}
+}
+
+// write sets key k in the private top layer, creating the layer on first use.
+func (s *Store) write(k string, e entry) {
+	if s.top == nil {
+		s.top = make(map[string]entry)
+	}
+	s.top[k] = e
 }
 
 // lookupEntry finds the visible entry for key, newest layer first.
@@ -306,7 +314,7 @@ func (s *Store) Bind(r Region, v SVal) {
 	if e, ok := s.lookupEntry(k); !ok || e.val == nil {
 		s.count++
 	}
-	s.top[k] = entry{region: r, val: v}
+	s.write(k, entry{region: r, val: v})
 }
 
 // Lookup returns the value bound to r, or (nil, false).
@@ -331,7 +339,7 @@ func (s *Store) Remove(r Region) {
 	for i := len(s.frozen) - 1; i >= 0; i-- {
 		if fe, ok := s.frozen[i][k]; ok {
 			if fe.val != nil {
-				s.top[k] = entry{region: r, val: nil}
+				s.write(k, entry{region: r, val: nil})
 			}
 			return
 		}
@@ -343,8 +351,10 @@ func (s *Store) Len() int { return s.count }
 
 // Clone returns an independent copy for state forking. The receiver's top
 // layer is frozen (both stores keep reading it; neither writes it again)
-// and each store gets a fresh private top, so cloning costs O(layers)
-// rather than O(bindings).
+// and each store starts a fresh private top on its next write. The chain
+// of frozen layers is never written in place (freezing copies it), so both
+// stores share it, and cloning costs at most one chain copy rather than
+// O(bindings).
 func (s *Store) Clone() *Store {
 	if len(s.frozen) >= flattenDepth {
 		s.flatten()
@@ -353,15 +363,9 @@ func (s *Store) Clone() *Store {
 		chain := make([]map[string]entry, len(s.frozen), len(s.frozen)+1)
 		copy(chain, s.frozen)
 		s.frozen = append(chain, s.top)
-		s.top = make(map[string]entry)
+		s.top = nil
 	}
-	c := &Store{
-		frozen: make([]map[string]entry, len(s.frozen)),
-		top:    make(map[string]entry),
-		count:  s.count,
-	}
-	copy(c.frozen, s.frozen)
-	return c
+	return &Store{frozen: s.frozen, count: s.count}
 }
 
 // flatten merges the frozen chain into a single layer, applying tombstones.

@@ -25,8 +25,16 @@ var (
 // and a full queue rejects immediately instead of accumulating unbounded
 // work (the 429 backpressure contract).
 type scheduler struct {
+	// queue holds accepted jobs until a worker takes them. Its capacity is
+	// slots, and admitted never exceeds slots, so a send never blocks.
 	queue chan *task
 	wg    sync.WaitGroup
+	// slots is workers + depth: how many jobs may be running or waiting.
+	// admitted counts jobs accepted and not yet finished. Admission counts
+	// jobs rather than probing the channel, so a worker that has finished
+	// a job but not yet returned to its receive is already free.
+	slots    int64
+	admitted atomic.Int64
 
 	// baseCtx parents every job's analysis context; Shutdown cancels it,
 	// so in-flight analyses degrade fail-soft (partial coverage,
@@ -59,7 +67,8 @@ func newScheduler(workers, depth int, o obs.Observer) *scheduler {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &scheduler{
-		queue:   make(chan *task, depth),
+		queue:   make(chan *task, workers+depth),
+		slots:   int64(workers + depth),
 		baseCtx: ctx,
 		cancel:  cancel,
 		obs:     obs.Or(o),
@@ -78,6 +87,7 @@ func (s *scheduler) worker() {
 		s.obs.Add("server.jobs.started", 1)
 		t.run(s.baseCtx)
 		s.inFlight.Add(-1)
+		s.admitted.Add(-1)
 		s.obs.Add("server.jobs.completed", 1)
 		close(t.done)
 	}
@@ -92,14 +102,14 @@ func (s *scheduler) Submit(run func(ctx context.Context)) (*task, error) {
 	if s.draining {
 		return nil, errDraining
 	}
-	t := &task{run: run, done: make(chan struct{})}
-	select {
-	case s.queue <- t:
-		return t, nil
-	default:
+	if s.admitted.Add(1) > s.slots {
+		s.admitted.Add(-1)
 		s.obs.Add("server.queue.rejected", 1)
 		return nil, errQueueFull
 	}
+	t := &task{run: run, done: make(chan struct{})}
+	s.queue <- t
+	return t, nil
 }
 
 // Probe reports whether a Submit issued now would likely be accepted:
@@ -112,7 +122,7 @@ func (s *scheduler) Probe() error {
 	if s.draining {
 		return errDraining
 	}
-	if cap(s.queue) > 0 && len(s.queue) >= cap(s.queue) {
+	if s.admitted.Load() >= s.slots {
 		return errQueueFull
 	}
 	return nil

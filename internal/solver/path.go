@@ -36,19 +36,6 @@ func (pc *PathCondition) And(e sym.Expr) *PathCondition {
 	return &PathCondition{conj: append(next, e)}
 }
 
-// NegateLast returns a copy of pc with its most recent conjunct negated —
-// the ¬ operator of the paper's PS-FCOND rule, which "negates the most
-// recent added path constraint in π". Returns pc unchanged when empty.
-func (pc *PathCondition) NegateLast() *PathCondition {
-	if len(pc.conj) == 0 {
-		return pc
-	}
-	next := make([]sym.Expr, len(pc.conj))
-	copy(next, pc.conj)
-	next[len(next)-1] = sym.Negate(next[len(next)-1])
-	return &PathCondition{conj: next}
-}
-
 // Conjuncts returns the conjunction's terms in order.
 func (pc *PathCondition) Conjuncts() []sym.Expr {
 	out := make([]sym.Expr, len(pc.conj))

@@ -2,9 +2,7 @@ package solver
 
 import (
 	"math"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 
 	"privacyscope/internal/obs"
@@ -34,90 +32,81 @@ func (r Result) String() string {
 	}
 }
 
-// interval is a closed float64 interval with optional excluded points
-// (from != constraints).
+// interval is a closed interval over the 32-bit integers a symbol ranges
+// over, with optional excluded points (from != constraints).
 type interval struct {
-	lo, hi   float64
+	lo, hi float64
+	// excluded is nil until the first exclusion and copied on every new
+	// one, so an interval copied out of a shared Env never writes through.
 	excluded map[float64]bool
-	isInt    bool
 }
 
-func fullInterval() *interval {
-	return &interval{lo: math.Inf(-1), hi: math.Inf(1), excluded: make(map[float64]bool)}
-}
+func int32Interval() interval { return interval{lo: math.MinInt32, hi: math.MaxInt32} }
 
 func (iv *interval) empty() bool {
-	if iv.lo > iv.hi {
+	lo, hi := math.Ceil(iv.lo), math.Floor(iv.hi)
+	if iv.lo > iv.hi || lo > hi {
 		return true
 	}
-	if iv.isInt {
-		lo, hi := math.Ceil(iv.lo), math.Floor(iv.hi)
-		if lo > hi {
-			return true
-		}
-		// A finite integer interval fully covered by exclusions is empty.
-		if hi-lo < 64 {
-			for v := lo; v <= hi; v++ {
-				if !iv.excluded[v] {
-					return false
-				}
+	// A finite integer interval fully covered by exclusions is empty.
+	if hi-lo < 64 {
+		for v := lo; v <= hi; v++ {
+			if !iv.excluded[v] {
+				return false
 			}
-			return true
 		}
-	}
-	if iv.lo == iv.hi && iv.excluded[iv.lo] {
 		return true
 	}
 	return false
 }
 
-// clampLo raises the lower bound.
-func (iv *interval) clampLo(v float64) bool {
-	if v > iv.lo {
-		iv.lo = v
-		return true
+// tighten applies the bound "symbol op c" and reports whether the interval
+// changed. The result does not depend on the order bounds are applied in:
+// the bounds keep the tightest value and exclusions form a set.
+func (iv *interval) tighten(op sym.Op, c float64) bool {
+	if c != c { // a NaN bound constrains no integer
+		return false
 	}
-	return false
-}
-
-// clampHi lowers the upper bound.
-func (iv *interval) clampHi(v float64) bool {
-	if v < iv.hi {
-		iv.hi = v
+	lo, hi := iv.lo, iv.hi
+	switch op {
+	case sym.OpEq:
+		lo, hi = max(lo, c), min(hi, c)
+	case sym.OpNe:
+		if iv.excluded[c] {
+			return false
+		}
+		ex := make(map[float64]bool, len(iv.excluded)+1)
+		for v := range iv.excluded {
+			ex[v] = true
+		}
+		ex[c] = true
+		iv.excluded = ex
 		return true
+	case sym.OpLt:
+		hi = min(hi, math.Ceil(c)-1)
+	case sym.OpLe:
+		hi = min(hi, math.Floor(c))
+	case sym.OpGt:
+		lo = max(lo, math.Floor(c)+1)
+	case sym.OpGe:
+		lo = max(lo, math.Ceil(c))
 	}
-	return false
+	changed := lo != iv.lo || hi != iv.hi
+	iv.lo, iv.hi = lo, hi
+	return changed
 }
-
-// feasCacheCap bounds the memoization map so adversarially branchy inputs
-// cannot grow it without limit; at the cap an arbitrary entry is evicted
-// per insert (counted as solver.cache.evicted), so recent conditions — the
-// ones the engine is about to re-derive — stay warm. A var, not a const,
-// so tests can shrink it.
-var feasCacheCap = 1 << 16
 
 // Solver decides satisfiability of path conditions via affine
 // normalization plus interval propagation over the symbols. The zero value
 // is ready to use.
-//
-// Feasibility verdicts are memoized per canonicalized path condition: the
-// engine re-derives the same prefix condition at every statement of a
-// branch's suite, so sibling queries hit the cache (counters
-// solver.cache.hits / solver.cache.misses make the win measurable).
 type Solver struct {
 	obs obs.Observer
 	itn *sym.Interner // optional: canonicalizes solver-built negations
 
-	mu   sync.Mutex
-	feas map[string]bool // canonical π → (propagate != Unsat)
-
-	// atoms caches the normalized constraint per interned conjunct: the
-	// engine re-checks the same prefix conjuncts at every statement of a
-	// branch's suite, and without the cache each check re-runs affine
-	// extraction (the profiled hot spot). Keys are canonical *sym* nodes —
-	// pointer identity is structural identity — so the cache is bounded by
-	// the arena and needs no eviction; non-interned atoms are analyzed
-	// fresh each time, which keeps the cache sound with interning off.
+	// atoms caches atomInfo per canonical (interned) conjunct, sparing
+	// the affine extraction when a conjunct recurs across paths. Pointer
+	// identity is structural identity, so the cache is bounded by the
+	// arena; non-interned atoms are analyzed fresh each time.
 	atoms sync.Map // sym.Expr (canonical) → *atomInfo
 }
 
@@ -130,41 +119,98 @@ func (s *Solver) SetInterner(in *sym.Interner) { s.itn = in }
 // New returns a Solver.
 func New() *Solver { return &Solver{} }
 
-// NewObserved returns a Solver reporting query and cache counters to o.
+// NewObserved returns a Solver reporting query counters to o.
 func NewObserved(o obs.Observer) *Solver { return &Solver{obs: obs.Or(o)} }
 
 // o returns the observer, keeping the zero-value Solver usable.
 func (s *Solver) o() obs.Observer { return obs.Or(s.obs) }
 
-// canonicalKey renders π order-independently: the sorted keys of its
-// conjuncts. Two conditions with the same conjunct set — regardless of the
-// order branches were taken in — share one cache entry. Interned conjuncts
-// use their arena ID ("#<id>", cheap and collision-free by construction);
-// everything else falls back to the structural Merkle key. The prefixes
-// are disjoint, so the two schemes never alias.
-func canonicalKey(pc *PathCondition) string {
-	keys := make([]string, len(pc.conj))
-	for i, c := range pc.conj {
-		if id, ok := sym.InternID(c); ok {
-			keys[i] = "#" + strconv.FormatUint(id, 36)
+// Env is the interval environment of a path condition: an interval for
+// every symbol some conjunct bounds, and whether one of them is already
+// empty. Every atom bounds a single symbol without reading any other
+// symbol's interval, and tighten is order-independent, so an Env extended
+// one conjunct at a time equals one built from the whole condition in one
+// pass. An Env is immutable — Extend returns a new one, or its argument
+// when nothing changes — so forked exploration states share their parent's
+// Env and each fork pays only for its own conjuncts. The nil *Env is the
+// empty condition.
+type Env struct {
+	ivs   []symInterval // sorted by symbol ID
+	unsat bool
+}
+
+type symInterval struct {
+	id int
+	iv interval
+}
+
+var trueEnv, unsatEnv = &Env{}, &Env{unsat: true}
+
+// Extend returns the environment of env's condition ∧ conj.
+func (s *Solver) Extend(env *Env, conj ...sym.Expr) *Env {
+	if env == nil {
+		env = trueEnv
+	}
+	if env.unsat {
+		return env
+	}
+	next := env
+	var buf [4]sym.Expr
+	for _, a := range s.atomsOf(buf[:0], conj) {
+		info := s.atomInfoFor(a)
+		if info.kind == atomFalse {
+			return unsatEnv
+		}
+		if info.kind == atomOpaque {
+			continue
+		}
+		i, found := next.find(info.sm.ID)
+		iv := int32Interval()
+		if found {
+			iv = next.ivs[i].iv
+		}
+		if !iv.tighten(info.op, info.c) && found {
+			continue
+		}
+		if iv.empty() {
+			return unsatEnv
+		}
+		if next == env {
+			next = &Env{ivs: make([]symInterval, len(env.ivs), len(env.ivs)+1)}
+			copy(next.ivs, env.ivs)
+		}
+		if found {
+			next.ivs[i].iv = iv
 		} else {
-			keys[i] = sym.Key(c)
+			next.ivs = slices.Insert(next.ivs, i, symInterval{id: info.sm.ID, iv: iv})
 		}
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, "&")
+	return next
+}
+
+// find locates symbol id's interval, or where it would be inserted.
+func (env *Env) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(env.ivs, id, func(x symInterval, id int) int { return x.id - id })
+}
+
+// lookup returns symbol id's interval, or nil when no conjunct bounds it.
+func (env *Env) lookup(id int) *interval {
+	if i, ok := env.find(id); ok {
+		return &env.ivs[i].iv
+	}
+	return nil
 }
 
 // Check returns Unsat when the conjunction is provably unsatisfiable, Sat
 // when interval propagation finds a verified model, and Unknown otherwise.
 func (s *Solver) Check(pc *PathCondition) Result {
 	s.o().Add("solver.queries", 1)
-	ivs, res := s.propagate(pc)
-	if res == Unsat {
+	env := s.Extend(nil, pc.conj...)
+	if env.unsat {
 		s.o().Add("solver.unsat", 1)
 		return Unsat
 	}
-	if _, ok := s.model(pc, ivs); ok {
+	if _, ok := s.model(pc, env); ok {
 		s.o().Add("solver.sat", 1)
 		return Sat
 	}
@@ -172,48 +218,18 @@ func (s *Solver) Check(pc *PathCondition) Result {
 	return Unknown
 }
 
-// Feasible reports whether the path may be satisfiable (everything except a
-// proven Unsat). This is the engine's pruning predicate: sound, possibly
-// exploring a few infeasible paths. It runs interval propagation only — the
-// model search of Check would be wasted work on the hot pruning path — and
-// memoizes the verdict per canonical condition.
-func (s *Solver) Feasible(pc *PathCondition) bool {
+// Feasible reports whether the path whose interval environment is env may
+// be satisfiable (everything except a proven Unsat). This is the engine's
+// pruning predicate: sound, possibly exploring a few infeasible paths. The
+// propagation already ran as the environment was extended, so the query
+// itself only reads the verdict; the model search of Check never runs.
+func (s *Solver) Feasible(env *Env) bool {
 	s.o().Add("solver.queries", 1)
-	key := canonicalKey(pc)
-	s.mu.Lock()
-	cached, hit := s.feas[key]
-	s.mu.Unlock()
-	if hit {
-		s.o().Add("solver.cache.hits", 1)
-		if !cached {
-			s.o().Add("solver.unsat", 1)
-		}
-		return cached
-	}
-	s.o().Add("solver.cache.misses", 1)
-	_, res := s.propagate(pc)
-	ok := res != Unsat
-	if !ok {
+	if env != nil && env.unsat {
 		s.o().Add("solver.unsat", 1)
+		return false
 	}
-	s.mu.Lock()
-	if s.feas == nil {
-		s.feas = make(map[string]bool)
-	}
-	if len(s.feas) >= feasCacheCap {
-		// Evict one arbitrary entry. Map iteration order varies, so over
-		// many inserts this approximates random replacement — cheap, O(1),
-		// and immune to the scan-wipeout worst case of LRU under the
-		// engine's breadth-first condition churn.
-		for k := range s.feas {
-			delete(s.feas, k)
-			s.o().Add("solver.cache.evicted", 1)
-			break
-		}
-	}
-	s.feas[key] = ok
-	s.mu.Unlock()
-	return ok
+	return true
 }
 
 // Model attempts to produce a concrete binding of all symbols in pc (plus
@@ -221,11 +237,11 @@ func (s *Solver) Feasible(pc *PathCondition) bool {
 // checker to construct replayable leak witnesses.
 func (s *Solver) Model(pc *PathCondition, extra []*sym.Symbol) (sym.Binding, bool) {
 	s.o().Add("solver.queries", 1)
-	ivs, res := s.propagate(pc)
-	if res == Unsat {
+	env := s.Extend(nil, pc.conj...)
+	if env.unsat {
 		return nil, false
 	}
-	b, ok := s.model(pc, ivs)
+	b, ok := s.model(pc, env)
 	if !ok {
 		return nil, false
 	}
@@ -237,76 +253,27 @@ func (s *Solver) Model(pc *PathCondition, extra []*sym.Symbol) (sym.Binding, boo
 	return b, true
 }
 
-// propagate runs interval propagation to a fixpoint (bounded rounds) and
-// returns the per-symbol intervals, or Unsat if a contradiction is proven.
-func (s *Solver) propagate(pc *PathCondition) (map[int]*interval, Result) {
-	ivs := make(map[int]*interval)
-	get := func(sm *sym.Symbol) *interval {
-		iv, ok := ivs[sm.ID]
-		if !ok {
-			iv = fullInterval()
-			iv.isInt = true // symbols range over 32-bit ints by default
-			iv.clampLo(math.MinInt32)
-			iv.clampHi(math.MaxInt32)
-			ivs[sm.ID] = iv
-		}
-		return iv
+// flatten appends the atoms of e to out: it splits top-level && conjuncts
+// and strips double negation. The negations it builds go through the
+// intern arena (when attached) so they share identity with engine-built
+// atoms and stay cacheable.
+func (s *Solver) flatten(out []sym.Expr, e sym.Expr) []sym.Expr {
+	if b, ok := e.(*sym.Binary); ok && b.Op == sym.OpLAnd {
+		return s.flatten(s.flatten(out, b.L), b.R)
 	}
-
-	atoms := s.flatten(pc.Conjuncts())
-	for round := 0; round < 8; round++ {
-		changed := false
-		for _, a := range atoms {
-			switch s.applyAtom(a, get) {
-			case atomUnsat:
-				return ivs, Unsat
-			case atomChanged:
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
+	if u, ok := e.(*sym.Unary); ok && u.Op == sym.OpLNot {
+		return append(out, s.itn.Negate(u.X))
 	}
-	for _, iv := range ivs {
-		if iv.empty() {
-			return ivs, Unsat
-		}
-	}
-	return ivs, Unknown
+	return append(out, e)
 }
 
-// flatten splits top-level && conjuncts and strips double negation. The
-// negations it builds go through the intern arena (when attached) so they
-// share identity with engine-built atoms and stay cacheable.
-func (s *Solver) flatten(conj []sym.Expr) []sym.Expr {
-	var out []sym.Expr
-	var walk func(e sym.Expr)
-	walk = func(e sym.Expr) {
-		if b, ok := e.(*sym.Binary); ok && b.Op == sym.OpLAnd {
-			walk(b.L)
-			walk(b.R)
-			return
-		}
-		if u, ok := e.(*sym.Unary); ok && u.Op == sym.OpLNot {
-			out = append(out, s.itn.Negate(u.X))
-			return
-		}
-		out = append(out, e)
-	}
+// atomsOf appends the atoms of every conjunct to buf.
+func (s *Solver) atomsOf(buf []sym.Expr, conj []sym.Expr) []sym.Expr {
 	for _, e := range conj {
-		walk(e)
+		buf = s.flatten(buf, e)
 	}
-	return out
+	return buf
 }
-
-type atomResult int
-
-const (
-	atomNoop atomResult = iota
-	atomChanged
-	atomUnsat
-)
 
 // atomKind classifies what a conjunct contributes to propagation.
 type atomKind int
@@ -317,9 +284,9 @@ const (
 	atomBound                  // single-symbol affine comparison s OP c
 )
 
-// atomInfo is the normalized, input-independent part of applyAtom — the
-// expensive half (affine extraction, coefficient normalization) that is a
-// pure function of the conjunct and therefore cacheable per canonical node.
+// atomInfo is a conjunct's normalized contribution to propagation — the
+// expensive half (affine extraction, coefficient normalization), a pure
+// function of the conjunct and therefore cacheable per canonical node.
 type atomInfo struct {
 	kind atomKind
 	sm   *sym.Symbol
@@ -383,62 +350,6 @@ func (s *Solver) atomInfoFor(e sym.Expr) *atomInfo {
 	return info
 }
 
-// applyAtom interprets one boolean conjunct, tightening intervals where the
-// conjunct is a comparison of an affine form over a single symbol.
-func (s *Solver) applyAtom(e sym.Expr, get func(*sym.Symbol) *interval) atomResult {
-	info := s.atomInfoFor(e)
-	if info.kind == atomFalse {
-		return atomUnsat
-	}
-	if info.kind == atomOpaque {
-		return atomNoop
-	}
-	sm, op, c := info.sm, info.op, info.c
-	iv := get(sm)
-	changed := false
-	switch op {
-	case sym.OpEq:
-		changed = iv.clampLo(c) || changed
-		changed = iv.clampHi(c) || changed
-	case sym.OpNe:
-		if !iv.excluded[c] {
-			iv.excluded[c] = true
-			changed = true
-		}
-	case sym.OpLt:
-		bound := c
-		if iv.isInt {
-			bound = math.Ceil(c) - 1
-		}
-		changed = iv.clampHi(bound)
-	case sym.OpLe:
-		bound := c
-		if iv.isInt {
-			bound = math.Floor(c)
-		}
-		changed = iv.clampHi(bound)
-	case sym.OpGt:
-		bound := c
-		if iv.isInt {
-			bound = math.Floor(c) + 1
-		}
-		changed = iv.clampLo(bound)
-	case sym.OpGe:
-		bound := c
-		if iv.isInt {
-			bound = math.Ceil(c)
-		}
-		changed = iv.clampLo(bound)
-	}
-	if iv.empty() {
-		return atomUnsat
-	}
-	if changed {
-		return atomChanged
-	}
-	return atomNoop
-}
-
 func constHolds(op sym.Op, d float64) bool {
 	switch op {
 	case sym.OpEq:
@@ -475,10 +386,10 @@ func flipOp(op sym.Op) sym.Op {
 // model picks candidate values within the propagated intervals and verifies
 // them against every conjunct, with a small amount of per-symbol candidate
 // search.
-func (s *Solver) model(pc *PathCondition, ivs map[int]*interval) (sym.Binding, bool) {
+func (s *Solver) model(pc *PathCondition, env *Env) (sym.Binding, bool) {
 	var symbols []*sym.Symbol
 	seen := make(map[int]bool)
-	for _, e := range pc.Conjuncts() {
+	for _, e := range pc.conj {
 		for _, sm := range sym.FreeSymbols(e) {
 			if !seen[sm.ID] {
 				seen[sm.ID] = true
@@ -488,7 +399,7 @@ func (s *Solver) model(pc *PathCondition, ivs map[int]*interval) (sym.Binding, b
 	}
 	binding := make(sym.Binding, len(symbols))
 	budget := searchBudget
-	if try(pc, symbols, ivs, binding, 0, &budget) {
+	if try(pc, symbols, env, binding, 0, &budget) {
 		return binding, true
 	}
 	return nil, false
@@ -500,7 +411,7 @@ const searchBudget = 4096
 
 // try assigns candidates to symbols[idx:] depth-first; verifies once all
 // symbols are bound.
-func try(pc *PathCondition, symbols []*sym.Symbol, ivs map[int]*interval, b sym.Binding, idx int, budget *int) bool {
+func try(pc *PathCondition, symbols []*sym.Symbol, env *Env, b sym.Binding, idx int, budget *int) bool {
 	if *budget <= 0 {
 		return false
 	}
@@ -509,9 +420,9 @@ func try(pc *PathCondition, symbols []*sym.Symbol, ivs map[int]*interval, b sym.
 		return verify(pc, b)
 	}
 	sm := symbols[idx]
-	for _, cand := range candidates(ivs[sm.ID]) {
+	for _, cand := range candidates(env.lookup(sm.ID)) {
 		b[sm.ID] = sym.IntVal(cand)
-		if try(pc, symbols, ivs, b, idx+1, budget) {
+		if try(pc, symbols, env, b, idx+1, budget) {
 			return true
 		}
 		if *budget <= 0 {
@@ -569,7 +480,7 @@ func clampToInt32(v float64) int32 {
 
 // verify evaluates every conjunct under the binding.
 func verify(pc *PathCondition, b sym.Binding) bool {
-	for _, e := range pc.Conjuncts() {
+	for _, e := range pc.conj {
 		v, err := sym.Eval(e, b)
 		if err != nil || v.IsZero() {
 			return false

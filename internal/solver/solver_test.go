@@ -1,10 +1,12 @@
 package solver
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"privacyscope/internal/obs"
 	"privacyscope/internal/sym"
 	"privacyscope/internal/taint"
 )
@@ -36,22 +38,6 @@ func TestPathConditionBasics(t *testing.T) {
 	// Constant-true conjuncts are dropped.
 	if pc.And(sym.IntConst{V: 1}).Len() != 0 {
 		t.Error("true conjunct must be dropped")
-	}
-}
-
-func TestNegateLast(t *testing.T) {
-	b := newBuilder()
-	s := b.FreshSecret("")
-	pc := True().And(cmp(sym.OpEq, s, sym.IntConst{V: 0}))
-	neg := pc.NegateLast()
-	if neg.String() != "s1 != 0" {
-		t.Errorf("NegateLast = %q", neg.String())
-	}
-	if pc.String() != "s1 == 0" {
-		t.Error("NegateLast must not mutate the original")
-	}
-	if True().NegateLast().Len() != 0 {
-		t.Error("NegateLast of empty pc must be a no-op")
 	}
 }
 
@@ -128,7 +114,7 @@ func TestCheckUnsatisfiable(t *testing.T) {
 			if got := sv.Check(tt.pc); got != Unsat {
 				t.Errorf("Check = %v, want unsat", got)
 			}
-			if sv.Feasible(tt.pc) {
+			if sv.Feasible(sv.Extend(nil, tt.pc.Conjuncts()...)) {
 				t.Error("Feasible must be false for unsat")
 			}
 		})
@@ -156,7 +142,7 @@ func TestFeasibleIsSoundOnOpaque(t *testing.T) {
 	// Non-linear conjunct: s1*s2 == 6. The solver cannot decide it but
 	// must not claim unsat.
 	pc := True().And(cmp(sym.OpEq, &sym.Binary{Op: sym.OpMul, L: s1, R: s2}, sym.IntConst{V: 6}))
-	if !sv.Feasible(pc) {
+	if !sv.Feasible(sv.Extend(nil, pc.Conjuncts()...)) {
 		t.Error("opaque conjunct must stay feasible")
 	}
 }
@@ -310,7 +296,7 @@ func TestFeasibleSkipsModelSearch(t *testing.T) {
 		pc = pc.And(cmp(sym.OpGt, &sym.Binary{Op: sym.OpMul, L: s1, R: s2}, sym.IntConst{V: int32(i)}))
 	}
 	start := time.Now()
-	if !sv.Feasible(pc) {
+	if !sv.Feasible(sv.Extend(nil, pc.Conjuncts()...)) {
 		t.Error("opaque conjunction must stay feasible")
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
@@ -381,5 +367,74 @@ func TestConstantConjunctVerdicts(t *testing.T) {
 	pcFalse := True().And(sym.NewBinary(sym.OpLt, sym.IntConst{V: 5}, sym.IntConst{V: 3}))
 	if sv.Check(pcFalse) != Unsat {
 		t.Error("trivially false pc must be unsat")
+	}
+}
+
+// TestFeasibleCountsQueries pins the pruning predicate's accounting: every
+// query counts, and every infeasible verdict counts as unsat.
+func TestFeasibleCountsQueries(t *testing.T) {
+	s1 := newBuilder().FreshSecret("s1")
+	m := obs.NewMetrics()
+	sv := NewObserved(m)
+	env := sv.Extend(nil, cmp(sym.OpGt, s1, sym.IntConst{V: 0}))
+	contra := sv.Extend(env, cmp(sym.OpLt, s1, sym.IntConst{V: 0}))
+	// env is queried after contra was built from it: extending never
+	// changes the parent.
+	for _, q := range []struct {
+		env  *Env
+		want bool
+	}{{env, true}, {contra, false}, {contra, false}, {env, true}} {
+		if sv.Feasible(q.env) != q.want {
+			t.Fatalf("Feasible(%+v) = %v", q.env, !q.want)
+		}
+	}
+	if q, u := m.Counter("solver.queries"), m.Counter("solver.unsat"); q != 4 || u != 2 {
+		t.Errorf("queries/unsat = %d/%d, want 4/2", q, u)
+	}
+}
+
+// TestEnvOrderIndependent pins the property incremental feasibility rests
+// on: the same conjuncts in another order, or in one step, give the same Env.
+func TestEnvOrderIndependent(t *testing.T) {
+	b := newBuilder()
+	s1, s2 := b.FreshSecret("s1"), b.FreshSecret("s2")
+	conj := []sym.Expr{cmp(sym.OpGt, s1, sym.IntConst{V: 0}), cmp(sym.OpLt, s2, sym.IntConst{V: 10}),
+		cmp(sym.OpNe, s1, sym.IntConst{V: 3}), cmp(sym.OpLe, s1, sym.IntConst{V: 7})}
+	sv := New()
+	var fwd, bwd *Env
+	for i := range conj {
+		fwd, bwd = sv.Extend(fwd, conj[i]), sv.Extend(bwd, conj[len(conj)-1-i])
+	}
+	if whole := sv.Extend(nil, conj...); !reflect.DeepEqual(bwd, fwd) || !reflect.DeepEqual(whole, fwd) {
+		t.Errorf("envs differ: forward %+v, backward %+v, one step %+v", fwd, bwd, whole)
+	}
+}
+
+// TestZeroValueSolverStillWorks guards the documented zero-value contract.
+func TestZeroValueSolverStillWorks(t *testing.T) {
+	b := newBuilder()
+	s1 := b.FreshSecret("s1")
+	var sv Solver
+	pc := True().And(cmp(sym.OpEq, s1, sym.IntConst{V: 3}))
+	if !sv.Feasible(sv.Extend(nil, pc.Conjuncts()...)) {
+		t.Error("zero-value solver must stay usable")
+	}
+	if sv.Check(pc) != Sat {
+		t.Error("zero-value Check must find the model")
+	}
+}
+
+func TestCheckCountsVerdicts(t *testing.T) {
+	b := newBuilder()
+	s1 := b.FreshSecret("s1")
+	m := obs.NewMetrics()
+	sv := NewObserved(m)
+	sv.Check(True().And(cmp(sym.OpEq, s1, sym.IntConst{V: 5})))
+	sv.Check(True().
+		And(cmp(sym.OpGt, s1, sym.IntConst{V: 0})).
+		And(cmp(sym.OpLt, s1, sym.IntConst{V: 0})))
+	if m.Counter("solver.sat") != 1 || m.Counter("solver.unsat") != 1 {
+		t.Errorf("sat=%d unsat=%d, want 1/1",
+			m.Counter("solver.sat"), m.Counter("solver.unsat"))
 	}
 }

@@ -11,8 +11,8 @@ import (
 // Interner is a hash-consing arena for expression nodes: structurally equal
 // composites interned through the same arena are the same pointer, so
 // equality on canonical nodes is a pointer comparison and downstream caches
-// (the solver's feasibility memo and per-atom analysis) can key on identity
-// instead of re-walking DAGs.
+// (the solver's per-atom analysis) can key on identity instead of
+// re-walking DAGs.
 //
 // The arena is shared read-only across path workers: lookups go through
 // sync.Map with no lock on the read path, and a losing racer on insert
@@ -316,27 +316,6 @@ func arenaOf(e Expr) *Interner {
 // canonical composite of some arena. (Leaves are excluded on purpose —
 // callers key caches on composite identity.)
 func Interned(e Expr) bool { return arenaOf(e) != nil }
-
-// InternID returns the arena-local dense ID of a canonical composite.
-// IDs are unique within one arena, so per-engine caches (the solver's
-// canonical path-condition key) can use them as cheap stable tokens.
-func InternID(e Expr) (uint64, bool) {
-	switch v := e.(type) {
-	case *Binary:
-		if v.tag.arena != nil {
-			return v.tag.id, true
-		}
-	case *Unary:
-		if v.tag.arena != nil {
-			return v.tag.id, true
-		}
-	case *Call:
-		if v.tag.arena != nil {
-			return v.tag.id, true
-		}
-	}
-	return 0, false
-}
 
 // distinctInterned reports that a and b are distinct canonical composites
 // of the same arena — by the interning invariant they are structurally

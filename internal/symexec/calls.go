@@ -101,7 +101,7 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont)
 		reg := e.mgr.Var(p.Name+"#"+fmt.Sprint(fr.id), fr.id)
 		fr.declare(p.Name, reg, p.Type)
 		if i < len(args) {
-			st.store.Bind(reg, args[i])
+			e.bind(st, reg, args[i])
 		}
 	}
 	return e.execBlock(st, fn.Body, func(end *state, c ctl) error {
@@ -205,12 +205,12 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 				n, concrete := concreteInt(scalarOf(nV))
 				if !concrete || n > 4096 {
 					n = 1
-					st.store.Bind(e.elementOf(dst.R, summaryIndex),
+					e.bind(st, e.elementOf(dst.R, summaryIndex),
 						mem.Scalar{E: e.builder.FreshEntropy(fmt.Sprintf("rand@%s[*]", v.Pos))})
 					e.warn(st, "sgx_read_rand with symbolic length summarized")
 				} else {
 					for i := 0; i < n; i++ {
-						st.store.Bind(e.shiftRegion(dst.R, i),
+						e.bind(st, e.shiftRegion(dst.R, i),
 							mem.Scalar{E: e.builder.FreshEntropy(fmt.Sprintf("rand@%s[%d]", v.Pos, i))})
 					}
 				}
@@ -303,7 +303,7 @@ func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, 
 		reg := e.mgr.Var(p.Name+"#"+fmt.Sprint(fr.id), fr.id)
 		fr.declare(p.Name, reg, p.Type)
 		if i < len(args) {
-			st.store.Bind(reg, args[i])
+			e.bind(st, reg, args[i])
 		}
 	}
 
@@ -384,7 +384,7 @@ func (e *Engine) evalDecrypt(st *state, v *minic.CallExpr, dstIdx int) (mem.SVal
 	for _, sub := range st.store.SubRegionsOf(root) {
 		display := e.displayName(sub)
 		s := e.builder.FreshSecret(display)
-		st.store.Bind(sub, mem.Scalar{E: s})
+		e.bind(st, sub, mem.Scalar{E: s})
 		e.mapMu.Lock()
 		e.res.SecretSymbols[display] = s
 		e.inputSyms[sub.Key()] = mem.Scalar{E: s}
@@ -426,7 +426,7 @@ func (e *Engine) evalMemcpy(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 		if err != nil {
 			return nil, nil, err
 		}
-		st.store.Bind(e.elementOf(dst.R, summaryIndex), val)
+		e.bind(st, e.elementOf(dst.R, summaryIndex), val)
 		e.warn(st, "memcpy with symbolic length summarized")
 		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
 	}
@@ -435,7 +435,7 @@ func (e *Engine) evalMemcpy(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 		if err != nil {
 			return nil, nil, err
 		}
-		st.store.Bind(e.shiftRegion(dst.R, i), val)
+		e.bind(st, e.shiftRegion(dst.R, i), val)
 	}
 	return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
 }
@@ -463,12 +463,12 @@ func (e *Engine) evalMemset(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 	}
 	n, concrete := concreteInt(scalarOf(nV))
 	if !concrete || n > 4096 {
-		st.store.Bind(e.elementOf(dst.R, summaryIndex), fillV)
+		e.bind(st, e.elementOf(dst.R, summaryIndex), fillV)
 		e.warn(st, "memset with symbolic length summarized")
 		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
 	}
 	for i := 0; i < n; i++ {
-		st.store.Bind(e.shiftRegion(dst.R, i), fillV)
+		e.bind(st, e.shiftRegion(dst.R, i), fillV)
 	}
 	return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
 }

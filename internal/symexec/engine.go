@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -168,7 +171,7 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 			if c, ok := constInit(g.Init); ok {
 				reg := e.mgr.Var("::"+g.Name, 0)
 				e.rootDisplay[reg.Key()] = g.Name
-				st.store.Bind(reg, coerceSVal(mem.Scalar{E: c}, g.Type))
+				e.bind(st, reg, coerceSVal(mem.Scalar{E: c}, g.Type))
 			}
 		}
 	}
@@ -288,7 +291,7 @@ func (e *Engine) bindParam(st *state, fr *sframe, p *minic.VarDecl, cls ParamCla
 		if cls == ParamOut || cls == ParamInOut {
 			e.outRoots[blk.Key()] = p.Name
 		}
-		st.store.Bind(reg, mem.Loc{R: blk})
+		e.bind(st, reg, mem.Loc{R: blk})
 		return nil
 	}
 	// Scalar parameter.
@@ -300,7 +303,7 @@ func (e *Engine) bindParam(st *state, fr *sframe, p *minic.VarDecl, cls ParamCla
 	} else {
 		val = e.builder.FreshPublic(p.Name)
 	}
-	st.store.Bind(reg, mem.Scalar{E: val})
+	e.bind(st, reg, mem.Scalar{E: val})
 	return nil
 }
 
@@ -330,20 +333,22 @@ func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
 		SecretAccesses: st.accesses,
 		key:            st.key,
 	}
-	for _, b := range st.store.Bindings() {
-		rootKey := mem.Root(b.Region).Key()
-		param, isOut := e.outRoots[rootKey]
-		if !isOut || b.Region == mem.Root(b.Region) {
-			continue
-		}
-		sc, isScalar := b.Val.(mem.Scalar)
+	outs := st.outs
+	if len(outs) > 1 {
+		// st.outs is shared with sibling states, so sort a copy.
+		outs = slices.Clone(outs)
+		slices.SortFunc(outs, func(a, b mem.Region) int { return strings.Compare(a.Key(), b.Key()) })
+	}
+	for _, r := range outs {
+		v, _ := st.store.Lookup(r)
+		sc, isScalar := v.(mem.Scalar)
 		if !isScalar {
 			continue
 		}
 		pr.Outs = append(pr.Outs, OutWrite{
-			Param:   param,
-			Region:  b.Region,
-			Display: e.displayName(b.Region),
+			Param:   e.outRoots[mem.Root(r).Key()],
+			Region:  r,
+			Display: e.displayName(r),
 			Value:   sc.E,
 		})
 	}
@@ -353,10 +358,31 @@ func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
 	return nil
 }
 
+// bind writes v to r in the state's store. A cell of an [out] parameter
+// bound for the first time is also recorded in st.outs, which is all
+// completePath reads to report out-parameter writes. The engine never
+// removes a store binding, so "bound before" means "already recorded".
+func (e *Engine) bind(st *state, r mem.Region, v mem.SVal) {
+	if root := mem.Root(r); root != r {
+		if _, isOut := e.outRoots[root.Key()]; isOut {
+			if _, had := st.store.Lookup(r); !had {
+				st.outs = append(st.outs, r)
+			}
+		}
+	}
+	st.store.Bind(r, v)
+}
+
 // state is one exploded node: π, σ, call stack and per-path observations.
 type state struct {
-	pc         *solver.PathCondition
-	store      *mem.Store
+	pc *solver.PathCondition
+	// env is π's interval environment (nil while pruning is off). It lives
+	// here rather than on π because PathResult keeps π after the path ends.
+	env   *solver.Env
+	store *mem.Store
+	// outs lists the [out]-parameter cells bound on this path, each once,
+	// in binding order.
+	outs       []mem.Region
 	frames     []*sframe
 	ocalls     []SinkEvent
 	incomplete bool
@@ -384,31 +410,25 @@ func (st *state) clone() *state {
 	for i, f := range st.frames {
 		frames[i] = f.clone()
 	}
-	ocalls := make([]SinkEvent, len(st.ocalls))
-	copy(ocalls, st.ocalls)
-	key := make([]byte, len(st.key))
-	copy(key, st.key)
-	c := &state{
+	// The per-path logs are append-only, so the fork shares them with
+	// capacities clipped: an append on either side copies, never writes
+	// into the other's view. The key is replaced by runBranches.
+	return &state{
 		pc:         st.pc,
+		env:        st.env,
 		store:      st.store.Clone(),
+		outs:       slices.Clip(st.outs),
 		frames:     frames,
-		ocalls:     ocalls,
+		ocalls:     slices.Clip(st.ocalls),
 		incomplete: st.incomplete,
-		cost:       st.cost,
-		key:        key,
-		seqLock:    st.seqLock,
+		inits:      slices.Clip(st.inits),
+		branches:   slices.Clip(st.branches),
+		accesses:   slices.Clip(st.accesses),
 		evSeq:      st.evSeq,
+		cost:       st.cost,
+		key:        st.key,
+		seqLock:    st.seqLock,
 	}
-	if len(st.inits) > 0 {
-		c.inits = append([]LifecycleEvent(nil), st.inits...)
-	}
-	if len(st.branches) > 0 {
-		c.branches = append([]BranchEvent(nil), st.branches...)
-	}
-	if len(st.accesses) > 0 {
-		c.accesses = append([]AccessEvent(nil), st.accesses...)
-	}
-	return c
 }
 
 func (st *state) frame() *sframe { return st.frames[len(st.frames)-1] }
@@ -419,28 +439,40 @@ type varBind struct {
 }
 
 type sframe struct {
-	fn     *ir.Func
-	id     int
+	fn *ir.Func
+	id int
+	// scopes are the block scopes, innermost last; a scope's map stays nil
+	// until its first declaration.
 	scopes []map[string]varBind
+	// shared counts the leading scopes whose maps a forked frame may also
+	// hold; declare copies such a map before writing to it.
+	shared int
 }
 
+// clone forks the frame. The scope maps are shared until one side
+// declares into them, so a fork costs one slice copy.
 func (f *sframe) clone() *sframe {
-	scopes := make([]map[string]varBind, len(f.scopes))
-	for i, sc := range f.scopes {
-		c := make(map[string]varBind, len(sc))
-		for k, v := range sc {
-			c[k] = v
-		}
-		scopes[i] = c
-	}
-	return &sframe{fn: f.fn, id: f.id, scopes: scopes}
+	f.shared = len(f.scopes)
+	return &sframe{fn: f.fn, id: f.id, scopes: slices.Clone(f.scopes), shared: len(f.scopes)}
 }
 
-func (f *sframe) push() { f.scopes = append(f.scopes, make(map[string]varBind)) }
-func (f *sframe) pop()  { f.scopes = f.scopes[:len(f.scopes)-1] }
+func (f *sframe) push() { f.scopes = append(f.scopes, nil) }
+
+func (f *sframe) pop() {
+	f.scopes = f.scopes[:len(f.scopes)-1]
+	f.shared = min(f.shared, len(f.scopes))
+}
 
 func (f *sframe) declare(name string, r mem.Region, ty minic.Type) {
-	f.scopes[len(f.scopes)-1][name] = varBind{region: r, ty: ty}
+	top := len(f.scopes) - 1
+	switch {
+	case f.scopes[top] == nil:
+		f.scopes[top] = make(map[string]varBind)
+	case top < f.shared:
+		f.scopes[top] = maps.Clone(f.scopes[top])
+		f.shared = top
+	}
+	f.scopes[top][name] = varBind{region: r, ty: ty}
 }
 
 func (f *sframe) lookup(name string) (varBind, bool) {
@@ -554,7 +586,7 @@ func (e *Engine) exec(st *state, op ir.Op, k cont) error {
 				if err != nil {
 					return err
 				}
-				st.store.Bind(reg, coerceSVal(val, d.Type))
+				e.bind(st, reg, coerceSVal(val, d.Type))
 			}
 		}
 		return k(st, ctlFallthrough)
@@ -767,18 +799,18 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 	e.noteBranch(st, v.Position(), cond)
 	e.obs.Add("symexec.forks", 1)
 	thenSt := st.clone()
-	thenSt.pc = thenSt.pc.And(cond)
+	e.assume(thenSt, cond)
 	elseSt := st.clone()
-	elseSt.pc = elseSt.pc.And(e.itn.Negate(cond))
+	e.assume(elseSt, e.itn.Negate(cond))
 	return e.runBranches(st, []branchCase{
 		{st: thenSt, run: func(s *state) error {
-			if !e.feasible(s.pc) {
+			if !e.feasible(s) {
 				return nil
 			}
 			return e.exec(s, v.Then, k)
 		}},
 		{st: elseSt, run: func(s *state) error {
-			if !e.feasible(s.pc) {
+			if !e.feasible(s) {
 				return nil
 			}
 			if v.Else != nil {
@@ -789,11 +821,22 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 	})
 }
 
-func (e *Engine) feasible(pc *solver.PathCondition) bool {
+// assume conjoins conj to the state's path condition and, when pruning is
+// on, extends its interval environment by conj alone.
+func (e *Engine) assume(st *state, conj ...sym.Expr) {
+	for _, c := range conj {
+		st.pc = st.pc.And(c)
+	}
+	if e.opts.PruneInfeasible {
+		st.env = e.sv.Extend(st.env, conj...)
+	}
+}
+
+func (e *Engine) feasible(st *state) bool {
 	if !e.opts.PruneInfeasible {
 		return true
 	}
-	ok := e.sv.Feasible(pc)
+	ok := e.sv.Feasible(st.env)
 	if !ok {
 		atomic.AddInt64(&e.pruned, 1)
 		e.obs.Add("symexec.paths.pruned", 1)
@@ -856,7 +899,7 @@ func (e *Engine) execLoop(st *state, pos minic.Pos, cond minic.Expr, post minic.
 		if remaining <= 0 {
 			// Bound hit: assume exit, mark incomplete.
 			cur.incomplete = true
-			cur.pc = cur.pc.And(e.itn.Negate(truth))
+			e.assume(cur, e.itn.Negate(truth))
 			e.obs.Add("symexec.loop.bound_hits", 1)
 			e.warn(cur, "symbolic loop cut at bound "+fmt.Sprint(e.opts.loopBound()))
 			return k(cur, ctlFallthrough)
@@ -864,12 +907,12 @@ func (e *Engine) execLoop(st *state, pos minic.Pos, cond minic.Expr, post minic.
 		e.noteBranch(cur, pos, truth)
 		e.obs.Add("symexec.forks", 1)
 		enter := cur.clone()
-		enter.pc = enter.pc.And(truth)
+		e.assume(enter, truth)
 		exit := cur.clone()
-		exit.pc = exit.pc.And(e.itn.Negate(truth))
+		e.assume(exit, e.itn.Negate(truth))
 		return e.runBranches(cur, []branchCase{
 			{st: enter, run: func(s *state) error {
-				if !e.feasible(s.pc) {
+				if !e.feasible(s) {
 					return nil
 				}
 				return e.exec(s, body, func(next *state, cc ctl) error {
@@ -877,7 +920,7 @@ func (e *Engine) execLoop(st *state, pos minic.Pos, cond minic.Expr, post minic.
 				})
 			}},
 			{st: exit, run: func(s *state) error {
-				if !e.feasible(s.pc) {
+				if !e.feasible(s) {
 					return nil
 				}
 				return k(s, ctlFallthrough)
@@ -1058,7 +1101,7 @@ func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
 	// Symbolic tag: fork per case.
 	e.noteBranch(st, v.Position(), tag)
 	e.obs.Add("symexec.forks", 1)
-	var excluded []sym.Expr
+	var excluded []sym.Expr // negated matches of the cases so far
 	var branches []branchCase
 	for i, c := range v.Cases {
 		if c.IsDefault {
@@ -1066,26 +1109,22 @@ func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
 		}
 		match := e.itn.NewBinary(sym.OpEq, tag, caseVals[i])
 		branch := st.clone()
-		branch.pc = branch.pc.And(match)
-		for _, ex := range excluded {
-			branch.pc = branch.pc.And(e.itn.Negate(ex))
-		}
+		e.assume(branch, match)
+		e.assume(branch, excluded...)
 		entry := i
 		branches = append(branches, branchCase{st: branch, run: func(s *state) error {
-			if !e.feasible(s.pc) {
+			if !e.feasible(s) {
 				return nil
 			}
 			return runFrom(s, entry, k)
 		}})
-		excluded = append(excluded, match)
+		excluded = append(excluded, e.itn.Negate(match))
 	}
 	// No-match state: default case, or fall past the switch.
 	rest := st.clone()
-	for _, ex := range excluded {
-		rest.pc = rest.pc.And(e.itn.Negate(ex))
-	}
+	e.assume(rest, excluded...)
 	branches = append(branches, branchCase{st: rest, run: func(s *state) error {
-		if !e.feasible(s.pc) {
+		if !e.feasible(s) {
 			return nil
 		}
 		if defaultIdx >= 0 {

@@ -99,7 +99,7 @@ func (e *Engine) evalAssign(st *state, v *minic.AssignExpr) (mem.SVal, minic.Typ
 		rhs = mem.Scalar{E: e.itn.NewBinary(v.Op, scalarOf(cur), scalarOf(rhs))}
 	}
 	out := coerceSVal(rhs, ty)
-	st.store.Bind(reg, out)
+	e.bind(st, reg, out)
 	return out, ty, nil
 }
 
@@ -117,7 +117,7 @@ func (e *Engine) evalIncDec(st *state, v *minic.IncDecExpr) (mem.SVal, minic.Typ
 		op = sym.OpSub
 	}
 	updated := mem.Scalar{E: e.itn.NewBinary(op, scalarOf(cur), sym.IntConst{V: 1})}
-	st.store.Bind(reg, updated)
+	e.bind(st, reg, updated)
 	if v.Prefix {
 		return updated, ty, nil
 	}
@@ -372,7 +372,7 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 	e.mapMu.Lock()
 	if v, ok := e.inputSyms[key]; ok {
 		e.mapMu.Unlock()
-		st.store.Bind(reg, v)
+		e.bind(st, reg, v)
 		return v, nil
 	}
 	root := mem.Root(reg)
@@ -386,7 +386,7 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 		val := mem.SVal(mem.Scalar{E: sym.IntConst{V: 0}})
 		e.inputSyms[key] = val
 		e.mapMu.Unlock()
-		st.store.Bind(reg, val)
+		e.bind(st, reg, val)
 		return val, nil
 	}
 
@@ -411,7 +411,7 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 	}
 	e.inputSyms[key] = val
 	e.mapMu.Unlock()
-	st.store.Bind(reg, val)
+	e.bind(st, reg, val)
 	return val, nil
 }
 

@@ -164,3 +164,73 @@ int enclave_dec(char *blob, char *output)
 		}
 	})
 }
+
+// forkSitesSrc reaches every site that extends a path condition: a
+// symbolic switch (multi-conjunct arms, a repeated case value whose arm is
+// infeasible, and a case label equal to the tag, whose match folds to
+// constant true so every later arm is infeasible), a symbolic loop cut at
+// its bound (a conjunct added without a feasibility query), and a branch
+// that only that cut makes infeasible. The declaration after the switch
+// writes into a block scope all the arms share.
+const forkSitesSrc = `
+int enclave_forks(int *secrets, int *output)
+{
+    int t = secrets[0];
+    int n = secrets[1];
+    int acc = 0;
+    int i = 0;
+    switch (t) {
+    case 1: acc = acc + 1; break;
+    case 2: acc = acc + 2;
+    case 1: acc = acc + 3; break;
+    case 4: acc = acc + 4; break;
+    case t: acc = acc + 5; break;
+    default: acc = acc - 1;
+    }
+    int m = acc * 2;
+    while (i < n) { acc = acc + 1; i = i + 1; }
+    if (n > 100)
+        acc = acc + 7;
+    output[0] = acc + m;
+    output[1] = t;
+    return acc;
+}
+`
+
+// TestPathWorkersForkSites pins incremental feasibility and the forked
+// state's shared scopes and logs under path workers: each fork extends its
+// parent's interval environment, shared across worker goroutines, and the
+// result must match one worker byte for byte, with interning on and off
+// (run with -race to check the sharing).
+func TestPathWorkersForkSites(t *testing.T) {
+	params := []ParamSpec{
+		{Name: "secrets", Class: ParamSecret},
+		{Name: "output", Class: ParamOut},
+	}
+	var want string
+	for _, noIntern := range []bool{false, true} {
+		base := DefaultOptions()
+		base.NoIntern = noIntern
+		seq := analyzeSrc(t, forkSitesSrc, "enclave_forks", params, base)
+		// Four feasible switch arms times nine loop exits. Pruned: the
+		// repeated case, the default arm (after case t its condition holds
+		// a constant false), and the n > 100 arm on all 36 paths — the loop
+		// leaves n <= 8 on every path, the last bound only through the cut.
+		if len(seq.Paths) != 36 || seq.Coverage.PrunedPaths != 38 {
+			t.Fatalf("noIntern=%v: paths=%d pruned=%d, want 36/38", noIntern, len(seq.Paths), seq.Coverage.PrunedPaths)
+		}
+		for _, p := range seq.Paths {
+			if strings.Contains(p.PC.String(), "> 100") {
+				t.Fatalf("noIntern=%v: infeasible arm explored: %s", noIntern, p.PC)
+			}
+		}
+		if want == "" {
+			want = canonicalize(seq)
+		}
+		opts := base
+		opts.PathWorkers = 2
+		if got := canonicalize(analyzeSrc(t, forkSitesSrc, "enclave_forks", params, opts)); got != want {
+			t.Errorf("noIntern=%v workers=2 diverges from sequential:\n--- sequential ---\n%s--- workers=2 ---\n%s", noIntern, want, got)
+		}
+	}
+}

@@ -309,7 +309,7 @@ func WithSummaries() Option {
 // WithInterning toggles the hash-consing arena of the symbolic layer
 // (on by default): structurally equal expressions intern to one canonical
 // node, path conditions are canonicalized at fork time, and the solver
-// keys its feasibility memo and per-atom analysis on node identity.
+// keys its per-atom analysis on node identity.
 // Findings are byte-identical either way — the `make intern-smoke`
 // differential gate pins that — so the switch exists for debugging and as
 // the gate's own oracle, not as a semantic knob.
